@@ -10,47 +10,22 @@ closure laws.  All zero on a healthy build.
 from __future__ import annotations
 
 import argparse
+import os
 import random
+import sys
 import time
 
-from daf import Variant, entails, entails_fast_basic, extend_with_output
-from daf.arguments import AGGREGATE, WEAKEN, enumerate_universe
-from daf.attacks import build_attack_graph
-from daf.consequence import output_base
-from daf.entail import cl_consistent, cl_entails, settled_base
-from daf.formulas import TOP, atom, atoms_of, complement, conj2, disj, neg
-from daf.grounded import AbstractFramework, grounded_extension
-from daf.kb import KnowledgeBase, parse_kb
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "tests"))
 
-
-def random_kb(rng: random.Random) -> KnowledgeBase:
-    names = ["p", "q", "r", "s"][: rng.randint(2, 4)]
-    literals = [atom(n) for n in names] + [neg(atom(n)) for n in names]
-    lines = []
-    for _ in range(rng.randint(0, 2)):
-        lines.append(f"fact {rng.choice(literals)}")
-    for _ in range(rng.randint(0, 2)):
-        if rng.random() < 0.5:
-            lines.append(f"constraint {rng.choice(literals)}")
-        else:
-            lines.append(
-                f"constraint ~({rng.choice(literals)} & "
-                f"{rng.choice(literals)})"
-            )
-    for _ in range(rng.randint(1, 5)):
-        antecedent = "true" if rng.random() < 0.4 else rng.choice(literals)
-        lines.append(f"ob {antecedent} => {rng.choice(literals)}")
-    return parse_kb("\n".join(lines))
-
-
-def query_pool(names):
-    atoms = [atom(n) for n in names]
-    pool = list(atoms) + [neg(a) for a in atoms]
-    for i, a in enumerate(atoms):
-        for b in atoms[i + 1:]:
-            pool.append(conj2(a, b))
-            pool.append(disj(a, b))
-    return pool
+from daf import Variant, entails, entails_fast_basic, extend_with_output  # noqa: E402
+from daf.arguments import AGGREGATE, WEAKEN, enumerate_universe  # noqa: E402
+from daf.attacks import build_attack_graph  # noqa: E402
+from daf.consequence import output_base  # noqa: E402
+from daf.entail import cl_consistent, cl_entails, settled_base  # noqa: E402
+from daf.formulas import atoms_of, complement  # noqa: E402
+from daf.grounded import AbstractFramework, grounded_extension  # noqa: E402
+from kbs import query_pool, random_kb  # noqa: E402
 
 
 def main() -> int:
@@ -112,7 +87,7 @@ def main() -> int:
             if entails(kb, Variant.SHADOW, q).derivable
         ]
         for a in shadow_derivable[:1]:
-            extended = kb.extended([_always(a)])
+            extended = extend_with_output(kb, [a])
             for b in shadow_derivable:
                 if not entails(extended, Variant.SHADOW, b).derivable:
                     counters["cautious_monotonicity"] += 1
@@ -149,12 +124,6 @@ def main() -> int:
         failed = failed or value != 0
         print(f"  {name:24s} {value:4d}  {status}")
     return 1 if failed else 0
-
-
-def _always(consequent):
-    from daf.formulas import cond
-
-    return cond(TOP, consequent, None)
 
 
 if __name__ == "__main__":

@@ -9,43 +9,17 @@ agreement, universe sizes, and timings.
 from __future__ import annotations
 
 import argparse
+import os
+import sys
 import time
 
-from daf import Variant, entails, entails_fast_basic, extend_with_output
-from daf.formulas import parse_formula
-from daf.kb import parse_kb
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "tests"))
 
-FIXTURES = {
-    "G1": "constraint p\nob true => ~p\nob ~p => ~q\nob p => q",
-    "G2": "ob true => p\nob true => ~p\nob true => q",
-    "G3": "fact p\nfact q\nob p => r\nob p & q => s\nconstraint ~(r & s)",
-    "G4": ("fact p\nob p => q\nob q => r\nob r => ~q\nob ~q => s\n"
-           "ob true => ~s"),
-    "G5": "fact q\nfact r\nob q => p\nob q & r => ~p",
-    "G6": ("fact p\nfact q\nfact r\nconstraint ~(s & t & u)\n"
-           "ob p =>[1] s\nob q =>[2] t\nob r =>[3] u"),
-    "G7": "fact p\nob p => q\nob q => r\nob r => ~p",
-    "G8": ("constraint s\nob true => p\nob true => q\nob p & q => r\n"
-           "ob r => ~s\nob q => t"),
-    "G9": "fact p\nob p => q\nob p => ~r\nob q => r",
-}
-
-MATRIX = [
-    ("G1", "basic", ["q", "q | r", "~p", "~q"]),
-    ("G2", "basic", ["q", "p", "~p", "p | ~q", "~q"]),
-    ("G3", "basic", ["r", "s", "r & s", "~r", "~s"]),
-    ("G3", "spec", ["s", "~r", "r", "~s", "r & s"]),
-    ("G4", "basic", ["q", "r", "~s", "~q", "s", "~r"]),
-    ("G4", "shadow", ["q", "r"]),
-    ("G5", "spec", ["~p", "p"]),
-    ("G6", "prio", ["t", "u", "t & u", "~(s & u)", "~(s & t)", "~s",
-                    "s", "s & t", "s & u", "s & t & u", "~(t & u)",
-                    "~u", "~t"]),
-    ("G7", "basic", ["q", "r", "~p"]),
-    ("G7", "shadow", ["q", "r"]),
-    ("G8", "shadow", ["p", "q", "p & q", "r", "~s", "t"]),
-    ("G9", "basic", ["q", "r", "~r"]),
-]
+from daf import Variant, entails, entails_fast_basic, extend_with_output  # noqa: E402
+from daf.formulas import parse_formula  # noqa: E402
+from kbs import kb as fixture  # noqa: E402
+from test_acceptance import VERDICTS  # noqa: E402
 
 
 def main() -> int:
@@ -55,13 +29,12 @@ def main() -> int:
 
     start = time.time()
     rows = 0
-    for name, semantics, queries in MATRIX:
+    for (name, variant), cells in VERDICTS.items():
         if args.fixture and name != args.fixture:
             continue
-        kb = parse_kb(FIXTURES[name])
-        variant = Variant(semantics)
-        print(f"\n{name} ({semantics}): {kb}")
-        for text in queries:
+        kb = fixture(name)
+        print(f"\n{name} ({variant.value}): {kb}")
+        for text, _ in cells:
             query = parse_formula(text)
             t0 = time.time()
             verdict = entails(kb, variant, query)
@@ -79,8 +52,7 @@ def main() -> int:
 
     if not args.fixture:
         print("\nG4 + (true => r): the cautious-monotonicity counterexample")
-        extended = extend_with_output(parse_kb(FIXTURES["G4"]),
-                                      [parse_formula("r")])
+        extended = extend_with_output(fixture("G4"), [parse_formula("r")])
         for text in ["r", "~s", "q"]:
             verdict = entails(extended, Variant.BASIC, parse_formula(text))
             print(f"  {verdict}")

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .entail import KbEntailment
 from .formulas import (
@@ -268,25 +268,17 @@ class GenerationConfig:
     build_rounds: composition rounds (detach closure, aggregates,
         weakenings); two rounds reach every shape the attack relations
         can distinguish at desk scale.
-    weaken_targets: "auto" derives targets from complements of
-        weakening-free conclusions plus the query; a frozenset gives an
-        explicit target list; None disables weakening.
     max_doubt_theta: largest settled-inconsistent obligation subset
         materialized as a doubt leaf.
     hard_cap: absolute argument-count bound (BoundExceeded beyond).
     conditional_reuse_limit: times one conditional may recur on a branch.
-    weaken_coherent_only: skip weakenings from arguments whose
-        obligations already contradict the settled base; such arguments
-        are defeated outright and their weakenings never matter.
     """
 
     max_aggregate_arity: int = 3
     build_rounds: int = 2
-    weaken_targets: Union[str, None, FrozenSet[Formula]] = "auto"
     max_doubt_theta: int = 3
     hard_cap: int = 100000
     conditional_reuse_limit: int = 1
-    weaken_coherent_only: bool = True
 
     def __post_init__(self):
         if self.max_aggregate_arity < 1 or self.build_rounds < 1:
@@ -328,10 +320,6 @@ class ArgumentUniverse:
 
     def with_conclusion(self, conclusion: Formula) -> Tuple[Argument, ...]:
         return self.by_conclusion.get(conclusion, ())
-
-    def containing(self, f: Formula) -> Tuple[Argument, ...]:
-        """Members whose constituent set contains the formula."""
-        return tuple(self._cs_member_index.get(f, ()))
 
     def superarguments(self, a: Argument) -> List[Argument]:
         """Members with strictly larger constituent sets (candidates come
@@ -436,25 +424,17 @@ class _Builder:
                 self.add(aggregate(subset))
 
     def weaken_targets(self, query: Optional[Formula]) -> List[Formula]:
-        spec = self.cfg.weaken_targets
+        # Complements of weakening-free conclusions enable every
+        # conflict attacker the grounded evaluation can need.
+        # Settled-entailed complements are dropped: arguments
+        # concluding their complements are settled-incoherent and
+        # already defeated by an unattacked constraint leaf.
         targets = set()
-        if spec is None:
-            return []
-        if isinstance(spec, frozenset):
-            targets |= spec
-        elif spec == "auto":
-            # Complements of weakening-free conclusions enable every
-            # conflict attacker the grounded evaluation can need.
-            # Settled-entailed complements are dropped: arguments
-            # concluding their complements are settled-incoherent and
-            # already defeated by an unattacked constraint leaf.
-            for a in self.args:
-                if a.is_deontic and a.weaken_free:
-                    t = complement(a.conclusion.body)
-                    if not self.ctx.settled_entails(t):
-                        targets.add(t)
-        else:
-            raise ValueError(f"bad weaken_targets {spec!r}")
+        for a in self.args:
+            if a.is_deontic and a.weaken_free:
+                t = complement(a.conclusion.body)
+                if not self.ctx.settled_entails(t):
+                    targets.add(t)
         if query is not None:
             targets.add(query)
             targets.add(complement(query))
@@ -465,13 +445,13 @@ class _Builder:
             return
         # No weakening of a weakening: settled implication is transitive,
         # so the one-step weakening from the original source reaches the
-        # same conclusion with a smaller argument.
+        # same conclusion with a smaller argument.  None from a
+        # settled-incoherent argument either: it is defeated outright,
+        # and so is every weakening of it.
         sources = [
             a
             for a in self.args
-            if a.is_deontic and a.rule != WEAKEN
-            and (not self.cfg.weaken_coherent_only
-                 or self.settled_coherent(a))
+            if a.is_deontic and a.rule != WEAKEN and self.settled_coherent(a)
         ]
         target_masks = [(t, self.ctx.mask(t)) for t in targets]
         settled = self.ctx.settled_mask
@@ -558,12 +538,7 @@ def enumerate_universe(
     arguments when ``with_doubt`` is set).
     """
     cfg = cfg or GenerationConfig()
-    extra: List[Formula] = []
-    if query is not None:
-        extra.append(query)
-    if isinstance(cfg.weaken_targets, frozenset):
-        extra.extend(sorted(cfg.weaken_targets, key=render))
-    ctx = KbEntailment(kb, extra)
+    ctx = KbEntailment(kb, () if query is None else (query,))
 
     builder = _Builder(kb, cfg, ctx)
     builder.premise_leaves()

@@ -18,6 +18,12 @@ Edge sources by variant:
 
 Fact and conflict attacks propagate to superarguments; the builders
 below compute the full propagated edge sets deterministically.
+
+The builders decide each direction with the module predicates
+(``strictly_more_specific``, ``prioritized_attacks``, and the licensor
+test behind ``shadow_attacks``).  Fact edges come from the witness
+leaves that generation materializes; ``fact_attacked`` is their
+reference oracle.
 """
 
 from __future__ import annotations
@@ -87,15 +93,12 @@ class AttackGraph:
     variant: Variant
     edges: Tuple[Tuple[int, int, AttackKind], ...]
 
-    def attackers_of(self, aid: int) -> List[int]:
-        return sorted({src for src, dst, _ in self.edges if dst == aid})
-
     def edge_pairs(self) -> FrozenSet[Tuple[int, int]]:
         return frozenset((src, dst) for src, dst, _ in self.edges)
 
 
 # ---------------------------------------------------------------------------
-# individual attack tests (module API; the graph builder inlines these)
+# individual attack tests (module API; the graph builders call these)
 
 
 def fact_attacked(kb: KnowledgeBase, a: Argument,
@@ -166,7 +169,7 @@ def specificity_attacks(kb: KnowledgeBase, a: Argument, b: Argument,
     return edges
 
 
-def priority_rank(a: Argument, kb: Optional[KnowledgeBase] = None):
+def priority_rank(a: Argument):
     """Weakest-link strength: the least priority among the conditionals
     used in the argument; +inf when no conditional occurs."""
     cached = a._rank
@@ -184,13 +187,12 @@ def priority_rank(a: Argument, kb: Optional[KnowledgeBase] = None):
     return rank
 
 
-def prioritized_attacks(a: Argument, b: Argument,
-                        kb: Optional[KnowledgeBase] = None) -> bool:
+def prioritized_attacks(a: Argument, b: Argument) -> bool:
     """Attack holds unless the attacker is strictly weaker (weakest
     link) than the target."""
     if not conflict_attacks(a, b):
         return False
-    return priority_rank(a, kb) >= priority_rank(b, kb)
+    return priority_rank(a) >= priority_rank(b)
 
 
 def shadow_attacks(d: Argument, target: Argument,
@@ -201,17 +203,25 @@ def shadow_attacks(d: Argument, target: Argument,
     its deontic subarguments or a superargument of one."""
     if not d.is_doubt:
         raise ValueError("shadow attack sources are doubt arguments")
+    return any(
+        target.aid in _shadow_targets(u, a)
+        for a in _licensors(d, _minimal_deontic(u))
+    )
+
+
+def _minimal_deontic(u: ArgumentUniverse) -> List[Argument]:
+    return [a for a in u.deontic if u.has_minimal_support(a)]
+
+
+def _licensors(d: Argument, minimal: List[Argument]) -> List[Argument]:
+    """The minimal-support arguments a doubt licenses an attack from:
+    those concluding the doubted obligation or carrying the doubted
+    conjunction among their obligations."""
     body = d.conclusion.body
-    for a in u.deontic:
-        if not u.has_minimal_support(a):
-            continue
-        if a.conclusion.body is not body and not is_conjunction_over(
-            body, a.uo
-        ):
-            continue
-        if target.aid in _shadow_targets(u, a):
-            return True
-    return False
+    return [
+        a for a in minimal
+        if a.conclusion.body is body or is_conjunction_over(body, a.uo)
+    ]
 
 
 def _shadow_targets(u: ArgumentUniverse, licensor: Argument) -> Set[int]:
@@ -274,13 +284,11 @@ def _conflict_edges(kb: KnowledgeBase, u: ArgumentUniverse,
         kb.validate_priorities()
     specificity_cache: Dict[Tuple[frozenset, frozenset], bool] = {}
 
-    def strict_below(sa, sb) -> bool:
-        key = (sa, sb)
+    def target_more_specific(y: Argument, z: Argument) -> bool:
+        key = (y.support, z.support)
         cached = specificity_cache.get(key)
         if cached is None:
-            cached = _support_at_most(u.ctx, sa, sb) and not _support_at_most(
-                u.ctx, sb, sa
-            )
+            cached = strictly_more_specific(kb, y.support, z.support, u.ctx)
             specificity_cache[key] = cached
         return cached
 
@@ -290,9 +298,9 @@ def _conflict_edges(kb: KnowledgeBase, u: ArgumentUniverse,
             continue
         supers = None
         for z in attackers:
-            if variant == Variant.SPEC and strict_below(y.support, z.support):
+            if variant == Variant.SPEC and target_more_specific(y, z):
                 continue
-            if variant == Variant.PRIO and priority_rank(z) < priority_rank(y):
+            if variant == Variant.PRIO and not prioritized_attacks(z, y):
                 continue
             if supers is None:
                 supers = u.superarguments(y)
@@ -303,14 +311,9 @@ def _conflict_edges(kb: KnowledgeBase, u: ArgumentUniverse,
 
 def _shadow_edges(u: ArgumentUniverse, edges) -> None:
     target_cache: Dict[int, Set[int]] = {}
-    minimal = [a for a in u.deontic if u.has_minimal_support(a)]
+    minimal = _minimal_deontic(u)
     for d in u.doubts:
-        body = d.conclusion.body
-        for a in minimal:
-            if a.conclusion.body is not body and not is_conjunction_over(
-                body, a.uo
-            ):
-                continue
+        for a in _licensors(d, minimal):
             targets = target_cache.get(a.aid)
             if targets is None:
                 targets = _shadow_targets(u, a)

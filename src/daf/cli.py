@@ -217,14 +217,16 @@ def graph_to_dot(u: ArgumentUniverse, graph: AttackGraph,
     for src, dst, kind in graph.edges:
         color = _EDGE_COLORS[kind.value]
         lines.append(f"  a{src} -> a{dst} [color={color}];")
-    members = u.arguments
-    for i, a in enumerate(members):
-        for b in members[i + 1:]:
-            if a.cs < b.cs or b.cs < a.cs:
-                lines.append(
-                    f"  a{a.aid} -> a{b.aid} "
-                    "[style=dashed, dir=none, constraint=false];"
-                )
+    nested = sorted(
+        (min(a.aid, s.aid), max(a.aid, s.aid))
+        for a in u.arguments
+        for s in u.superarguments(a)
+    )
+    for low, high in nested:
+        lines.append(
+            f"  a{low} -> a{high} "
+            "[style=dashed, dir=none, constraint=false];"
+        )
     lines.append("}")
     return "\n".join(lines) + "\n"
 

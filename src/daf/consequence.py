@@ -27,7 +27,7 @@ complete edge computation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from .arguments import Argument, GenerationConfig, enumerate_universe
 from .attacks import AttackGraph, Variant, build_attack_graph
@@ -205,19 +205,23 @@ class _FastBasic:
                 sets.append(list(members))
         return sets
 
-    def _refutable(self, formula: Formula, member_ok) -> bool:
-        """Some coherent chain set classically refutes the formula under
-        the settled base."""
-        table = self.ctx.table
-        f_mask = table.mask(formula)
+    def _joint_masks(self, member_ok) -> Iterator[int]:
+        """Per maximal chain set, the settled base conjoined with its
+        chains' conclusions; lazy, so callers stop at the first hit."""
         settled = self.ctx.settled_mask
+        concl_masks = self.concl_masks
         for members in self._maximal_sets(member_ok):
             joint = settled
             for i in members:
-                joint &= self.concl_masks[i]
-            if joint & f_mask == 0:
-                return True
-        return False
+                joint &= concl_masks[i]
+            yield joint
+
+    def _refutable(self, formula: Formula, member_ok) -> bool:
+        """Some coherent chain set classically refutes the formula under
+        the settled base."""
+        f_mask = self.ctx.table.mask(formula)
+        return any(joint & f_mask == 0
+                   for joint in self._joint_masks(member_ok))
 
     def _accept(self) -> List[int]:
         settled = self.ctx.settled_mask
@@ -240,16 +244,10 @@ class _FastBasic:
         """Some nonempty coherent set of accepted chains entails the
         query under the settled base."""
         table = self.ctx.table
-        q_mask = table.mask(query)
-        settled = self.ctx.settled_mask
+        outside = ~table.mask(query) & table.full
         accepted_ok = set(self.accepted).__contains__
-        for members in self._maximal_sets(accepted_ok):
-            joint = settled
-            for i in members:
-                joint &= self.concl_masks[i]
-            if joint & ~q_mask & table.full == 0:
-                return True
-        return False
+        return any(joint & outside == 0
+                   for joint in self._joint_masks(accepted_ok))
 
     def conclusions(self) -> FrozenSet[Formula]:
         return frozenset(self.chains[i].conclusion for i in self.accepted)

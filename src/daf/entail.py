@@ -158,15 +158,6 @@ class KbEntailment:
     def fact_entails(self, goal: Formula) -> bool:
         return self.table.entails(self.fact_mask, goal)
 
-    def settled_consistent_mask(self, mask: int) -> bool:
-        return self.settled_mask & mask != 0
-
-    def settled_consistent_with(self, formulas: Iterable[Formula]) -> bool:
-        return self.settled_mask & self.table.conj_mask(formulas) != 0
-
-    def entails_under_settled(self, mask: int, goal: Formula) -> bool:
-        return self.table.entails(self.settled_mask & mask, goal)
-
     def single_entails(self, premise: Formula, goal: Formula) -> bool:
         """One-premise classical entailment (used by the support order)."""
         return self.table.entails(self.table.mask(premise), goal)

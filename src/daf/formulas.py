@@ -410,17 +410,6 @@ def _render(f: Formula) -> str:
     raise TypeError(f"unknown formula node {f!r}")
 
 
-def render_unicode(f: Formula) -> str:
-    """Unicode display form (not re-parseable; for human output only)."""
-    text = render(f)
-    for ascii_form, uni in (("=>", "⇒"), ("~", "¬"),
-                            (" & ", " ∧ "), (" | ", " ∨ "),
-                            ("true", "⊤"), ("false", "⊥"),
-                            ("[]", "□"), ("(.)", "⊙")):
-        text = text.replace(ascii_form, uni)
-    return text
-
-
 def atoms_of(f: Formula) -> frozenset:
     """Names of the atoms occurring in a formula (any layer)."""
     cached = f._atoms

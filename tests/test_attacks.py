@@ -18,6 +18,7 @@ from daf.arguments import (
     weaken,
 )
 from daf.attacks import (
+    AttackKind,
     Variant,
     build_attack_graph,
     conflict_attacks,
@@ -385,3 +386,63 @@ def test_empty_kb_graph_is_empty():
     universe = enumerate_universe(empty)
     graph = build_attack_graph(empty, universe, Variant.BASIC)
     assert graph.edges == ()
+
+
+# -- differential: graph builders against the rule predicates ---------------
+
+
+def _direction_holds(source, universe, variant, z, y):
+    if variant == Variant.BASIC:
+        return True
+    if variant == Variant.SPEC:
+        return (z, y) in specificity_attacks(source, z, y, universe.ctx)
+    return prioritized_attacks(z, y)
+
+
+def test_graph_edges_equal_the_rule_predicates():
+    """Every non-shadow graph edge set equals the brute-force closure of
+    the module predicates: conflict edges from ``conflict_attacks`` plus
+    the variant's direction, propagated to superarguments, and fact-edge
+    targets from ``fact_attacked``."""
+    rng = random.Random(20160605)
+    for _ in range(40):
+        source = random_kb(rng, prioritized=True)
+        universe = enumerate_universe(source)
+        members = universe.arguments
+        fact_targets = {
+            x.aid for x in universe.deontic
+            if fact_attacked(source, x, universe.ctx) is not None
+        }
+        for variant in (Variant.BASIC, Variant.SPEC, Variant.PRIO):
+            graph = build_attack_graph(source, universe, variant)
+            expected = set()
+            for y in universe.deontic:
+                for z in universe.deontic:
+                    if not conflict_attacks(z, y):
+                        continue
+                    if not _direction_holds(source, universe, variant, z, y):
+                        continue
+                    expected.update(
+                        (z.aid, x.aid) for x in members
+                        if x is y or y.cs < x.cs
+                    )
+            conflict = {(s, d) for s, d, k in graph.edges
+                        if k != AttackKind.FACT}
+            assert conflict == expected, (str(source), variant)
+            fact = {d for _, d, k in graph.edges if k == AttackKind.FACT}
+            assert fact == fact_targets, (str(source), variant)
+
+
+def test_shadow_graph_edges_equal_shadow_attacks():
+    rng = random.Random(16061605)
+    for _ in range(25):
+        source = random_kb(rng, max_conditionals=4, prioritized=True)
+        universe = enumerate_universe(source, with_doubt=True)
+        graph = build_attack_graph(source, universe, Variant.SHADOW)
+        expected = {
+            (d.aid, t.aid)
+            for d in universe.doubts
+            for t in universe.arguments
+            if shadow_attacks(d, t, universe)
+        }
+        assert graph.edge_pairs() == expected, str(source)
