@@ -61,20 +61,33 @@ def random_kb(
     max_constraints: int = 2,
     max_facts: int = 2,
     prioritized: bool = False,
+    compound: bool = False,
+    facts_settled: bool = True,
 ) -> KnowledgeBase:
-    """A small random knowledge base.
+    """A small random knowledge base over two to ``max_atoms`` (at most
+    six) atoms.
 
-    Antecedents are literals or truth; consequents are literals.  This
-    keeps deontic detachment on the structural antecedent match active
-    while staying inside the fragment where the chain-level engine is a
-    faithful oracle for grounded evaluation.
+    By default antecedents are literals or truth and consequents are
+    literals.  This keeps deontic detachment on the structural
+    antecedent match active while staying inside the fragment where the
+    chain-level engine is a faithful oracle for grounded evaluation.
+    ``compound`` makes half of the antecedents and consequents a
+    conjunction or disjunction of two literals; ``facts_settled`` is the
+    knowledge-base option.  Neither draws random numbers when left at
+    its default, so existing seeds give the same knowledge bases.
     """
-    names = ["p", "q", "r", "s"][: rng.randint(2, max_atoms)]
+    names = ["p", "q", "r", "s", "t", "u"][: rng.randint(2, max_atoms)]
     literals = literal_pool(names)
     lines: List[str] = []
 
     def literal() -> Formula:
         return rng.choice(literals)
+
+    def operand() -> Formula:
+        if not compound or rng.random() < 0.5:
+            return literal()
+        join = conj2 if rng.random() < 0.5 else disj
+        return join(literal(), literal())
 
     for _ in range(rng.randint(0, max_facts)):
         lines.append(f"fact {literal()}")
@@ -84,15 +97,15 @@ def random_kb(
         else:
             lines.append(f"constraint ~({literal()} & {literal()})")
     for _ in range(rng.randint(1, max_conditionals)):
-        antecedent: Formula = TOP if rng.random() < 0.4 else literal()
-        consequent = literal()
+        antecedent: Formula = TOP if rng.random() < 0.4 else operand()
+        consequent = operand()
         if prioritized:
             lines.append(
                 f"ob {antecedent} =>[{rng.randint(1, 3)}] {consequent}"
             )
         else:
             lines.append(f"ob {antecedent} => {consequent}")
-    return parse_kb("\n".join(lines))
+    return parse_kb("\n".join(lines), KbOptions(facts_settled=facts_settled))
 
 
 def random_formula(rng: random.Random, names: List[str],
