@@ -18,18 +18,19 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional
+from typing import Iterator, List, Optional, Sequence
 
 from .arguments import Argument, ArgumentUniverse, BoundExceeded, \
     GenerationConfig, enumerate_universe
 from .attacks import AttackGraph, Variant, build_attack_graph
-from .consequence import Verdict, entails, entails_fast_basic, evaluate_graph
+from .consequence import Verdict, entails, evaluate_graph, \
+    fast_basic_verdicts
 from .formulas import Formula, ParseError, render
 from .grounded import AbstractFramework, ExtensionResult
 from .kb import KbOptions, KnowledgeBase, ValidationError, parse_kb, \
     parse_query
 
-__all__ = ["main", "run_query", "export_graph", "framework_from_json"]
+__all__ = ["main", "run_queries", "export_graph", "framework_from_json"]
 
 _EDGE_COLORS = {
     "fact": "firebrick",
@@ -132,15 +133,17 @@ def _witness_json(a: Optional[Argument]):
     }
 
 
-def run_query(kb: KnowledgeBase, variant: Variant, query: Formula,
-              cfg: GenerationConfig, engine: str) -> Verdict:
-    """Evaluate one query with the selected engine."""
-    if engine == "fast":
-        if variant != Variant.BASIC:
-            raise ValidationError("the fast engine supports basic semantics "
-                                  "only")
-        return entails_fast_basic(kb, query)
-    return entails(kb, variant, query, cfg)
+def run_queries(kb: KnowledgeBase, variant: Variant,
+                queries: Sequence[Formula], cfg: GenerationConfig,
+                engine: str) -> Iterator[Verdict]:
+    """Evaluate queries in order with the selected engine; the fast
+    engine decides chain acceptance once for the whole batch."""
+    if engine != "fast":
+        return (entails(kb, variant, q, cfg) for q in queries)
+    if variant != Variant.BASIC:
+        raise ValidationError("the fast engine supports basic semantics "
+                              "only")
+    return fast_basic_verdicts(kb, queries)
 
 
 def _emit_verdict(verdict: Verdict, output: str) -> None:
@@ -255,17 +258,15 @@ def _cmd_query(args) -> int:
         texts.append(args.query)
     if not texts:
         raise ValidationError("no query given (positional or --queries)")
+    queries = [parse_query(text) for text in texts]
     all_derivable = True
-    last_query = None
-    for text in texts:
-        last_query = parse_query(text)
-        verdict = run_query(kb, variant, last_query, cfg, args.engine)
+    for verdict in run_queries(kb, variant, queries, cfg, args.engine):
         _emit_verdict(verdict, args.output)
         all_derivable = all_derivable and verdict.derivable
     if args.dot:
         if args.engine != "fixpoint":
             raise ValidationError("--dot needs the fixpoint engine")
-        universe, graph, result = export_graph(kb, variant, cfg, last_query)
+        universe, graph, result = export_graph(kb, variant, cfg, queries[-1])
         with open(args.dot, "w", encoding="utf-8") as handle:
             handle.write(graph_to_dot(universe, graph, result))
     if args.exit_status:

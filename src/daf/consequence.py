@@ -27,12 +27,13 @@ complete edge computation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, \
+    Tuple
 
 from .arguments import Argument, GenerationConfig, enumerate_universe
 from .attacks import AttackGraph, Variant, build_attack_graph
 from .entail import KbEntailment
-from .formulas import Formula, TOP, cond, ob, render
+from .formulas import Cond, Formula, TOP, cond, ob, render
 from .grounded import AbstractFramework, ExtensionResult, grounded_extension
 from .kb import KnowledgeBase
 
@@ -41,6 +42,7 @@ __all__ = [
     "OutputBase",
     "entails",
     "entails_fast_basic",
+    "fast_basic_verdicts",
     "output_base",
     "extend_with_output",
     "evaluate_graph",
@@ -132,6 +134,10 @@ def _chain_classes(kb: KnowledgeBase,
                    ctx: KbEntailment) -> List[_ChainClass]:
     """All detachment chains (factual root, deontic steps, each
     conditional at most once per chain), deduplicated by class."""
+    conditionals = kb.conditionals
+    by_antecedent: Dict[Formula, List[Cond]] = {}
+    for c in conditionals:
+        by_antecedent.setdefault(c.antecedent, []).append(c)
     seen_classes = set()
     seen_states = set()
     classes: List[_ChainClass] = []
@@ -143,7 +149,7 @@ def _chain_classes(kb: KnowledgeBase,
             seen_states.add(state)
             frontier.append((conclusion, uo, used))
 
-    for c in kb.conditionals:
+    for c in conditionals:
         if ctx.fact_entails(c.antecedent):
             push(c.consequent, frozenset((c.consequent,)), frozenset((c,)))
     index = 0
@@ -154,21 +160,26 @@ def _chain_classes(kb: KnowledgeBase,
         if key not in seen_classes:
             seen_classes.add(key)
             classes.append(_ChainClass(conclusion, uo))
-        for c in kb.conditionals:
-            if c in used or c.antecedent is not conclusion:
-                continue
-            push(c.consequent, uo | {c.consequent}, used | {c})
+        for c in by_antecedent.get(conclusion, ()):
+            if c not in used:
+                push(c.consequent, uo | {c.consequent}, used | {c})
     return classes
 
 
 class _FastBasic:
     """Accepted-chain computation plus the chain-set consequence search.
 
-    Chain-set searches exploit that joint coherence with the settled
-    base is witnessed row-wise: for each satisfying assignment of the
-    settled base, the inclusion-maximal coherent chain set is the set of
-    chains whose obligations hold on that row, so only those maximal
-    sets need checking.
+    Joint coherence with the settled base is witnessed row-wise: for
+    each satisfying assignment of the settled base, the
+    inclusion-maximal coherent chain set is the set of chains whose
+    obligations hold on that row, so only those maximal sets need
+    checking.  Building the engine scans the settled rows once: every
+    maximal set of coherent chains refutes the obligations its joint
+    mask excludes, and a coherent chain is accepted when none of its
+    obligations is refuted.  Each ``derivable`` call scans the rows once
+    more, over the accepted chains, and stops at the first maximal set
+    that entails the query.  A scan costs one bit test per settled row
+    and member chain plus one mask conjunction per distinct maximal set.
     """
 
     def __init__(self, kb: KnowledgeBase,
@@ -181,90 +192,82 @@ class _FastBasic:
         self.concl_masks = [table.mask(c.conclusion) for c in self.chains]
         self.accepted = self._accept()
 
-    def _rows(self) -> List[int]:
-        rows = []
-        remaining = self.ctx.settled_mask
-        while remaining:
-            low = remaining & -remaining
-            rows.append(low.bit_length() - 1)
-            remaining ^= low
-        return rows
-
-    def _maximal_sets(self, member_ok) -> List[List[int]]:
-        """Per settled-base row, the maximal chain set coherent on it."""
-        sets = []
-        seen = set()
-        for r in self._rows():
-            members = tuple(
-                i
-                for i, m in enumerate(self.uo_masks)
-                if m >> r & 1 and member_ok(i)
-            )
-            if members and members not in seen:
-                seen.add(members)
-                sets.append(list(members))
-        return sets
-
-    def _joint_masks(self, member_ok) -> Iterator[int]:
-        """Per maximal chain set, the settled base conjoined with its
-        chains' conclusions; lazy, so callers stop at the first hit."""
+    def _joint_masks(self, members: List[int]) -> Iterator[int]:
+        """Per distinct maximal set of ``members`` coherent on a settled
+        row, the settled base conjoined with its chains' conclusions;
+        lazy, so callers stop at the first hit."""
         settled = self.ctx.settled_mask
+        width = (self.ctx.table.rows + 7) // 8
+        pairs = [(i, self.uo_masks[i].to_bytes(width, "little"))
+                 for i in members]
         concl_masks = self.concl_masks
-        for members in self._maximal_sets(member_ok):
-            joint = settled
-            for i in members:
-                joint &= concl_masks[i]
-            yield joint
-
-    def _refutable(self, formula: Formula, member_ok) -> bool:
-        """Some coherent chain set classically refutes the formula under
-        the settled base."""
-        f_mask = self.ctx.table.mask(formula)
-        return any(joint & f_mask == 0
-                   for joint in self._joint_masks(member_ok))
+        seen = set()
+        bits = bin(settled)[:1:-1]  # character r is bit r
+        r = bits.find("1")
+        while r >= 0:
+            byte, bit = r >> 3, r & 7
+            held = tuple([i for i, b in pairs if b[byte] >> bit & 1])
+            if held and held not in seen:
+                seen.add(held)
+                joint = settled
+                for i in held:
+                    joint &= concl_masks[i]
+                yield joint
+            r = bits.find("1", r + 1)
 
     def _accept(self) -> List[int]:
+        """Coherent chains none of whose obligations some maximal
+        coherent chain set refutes, in one scan of those sets."""
         settled = self.ctx.settled_mask
         coherent = [
             i
             for i, m in enumerate(self.uo_masks)
             if settled & m != 0
         ]
-        coherent_ok = set(coherent).__contains__
-        accepted = []
-        for i in coherent:
-            if not any(
-                self._refutable(c, coherent_ok)
-                for c in sorted(self.chains[i].uo, key=render)
-            ):
-                accepted.append(i)
-        return accepted
+        table = self.ctx.table
+        pending = {f: table.mask(f)
+                   for i in coherent for f in self.chains[i].uo}
+        refuted = set()
+        for joint in self._joint_masks(coherent):
+            for f in [f for f, m in pending.items() if joint & m == 0]:
+                refuted.add(f)
+                del pending[f]
+            if not pending:
+                break
+        return [i for i in coherent if self.chains[i].uo.isdisjoint(refuted)]
 
     def derivable(self, query: Formula) -> bool:
         """Some nonempty coherent set of accepted chains entails the
         query under the settled base."""
         table = self.ctx.table
         outside = ~table.mask(query) & table.full
-        accepted_ok = set(self.accepted).__contains__
         return any(joint & outside == 0
-                   for joint in self._joint_masks(accepted_ok))
+                   for joint in self._joint_masks(self.accepted))
 
     def conclusions(self) -> FrozenSet[Formula]:
         return frozenset(self.chains[i].conclusion for i in self.accepted)
 
 
+def fast_basic_verdicts(kb: KnowledgeBase,
+                        queries: Sequence[Formula]) -> Iterator[Verdict]:
+    """Fast-engine verdicts for a batch of queries, in order: chain
+    acceptance is decided once, then each query is one chain-set scan."""
+    engine = _FastBasic(kb, tuple(queries))
+    for query in queries:
+        yield Verdict(
+            derivable=engine.derivable(query),
+            query=query,
+            engine="fast-basic",
+            variant=Variant.BASIC,
+            categorical=True,
+            universe_stats={"chains": len(engine.chains),
+                            "accepted_chains": len(engine.accepted)},
+        )
+
+
 def entails_fast_basic(kb: KnowledgeBase, query: Formula) -> Verdict:
     """Fast-engine derivability for the basic variant (categorical)."""
-    engine = _FastBasic(kb, (query,))
-    return Verdict(
-        derivable=engine.derivable(query),
-        query=query,
-        engine="fast-basic",
-        variant=Variant.BASIC,
-        categorical=True,
-        universe_stats={"chains": len(engine.chains),
-                        "accepted_chains": len(engine.accepted)},
-    )
+    return next(fast_basic_verdicts(kb, (query,)))
 
 
 @dataclass(frozen=True)

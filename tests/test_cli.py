@@ -10,8 +10,10 @@ import sys
 import pytest
 
 import daf
-from daf.cli import framework_from_json, main
+from daf.cli import _emit_verdict, framework_from_json, main
+from daf.consequence import _FastBasic, entails_fast_basic
 from daf.grounded import grounded_extension
+from daf.kb import parse_kb, parse_query
 from kbs import KB_TEXTS
 
 
@@ -91,6 +93,52 @@ def test_batch_queries(kb_file, tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 1  # the last query is not derivable
     assert out.count("DAF") == 3
+
+
+@pytest.mark.parametrize("name,texts", [
+    ("G1", ["O q", "O q | r", "O ~p", "O ~q", "O q | z"]),
+    ("G4", ["O r", "O ~s", "O s", "O ~r", "O q & r", "O w"]),
+    ("G9", ["O q", "O r", "O ~r"]),
+])
+@pytest.mark.parametrize("output", ["text", "json"])
+def test_fast_batch_matches_per_query_verdicts(kb_file, tmp_path, capsys,
+                                               monkeypatch, name, texts,
+                                               output):
+    """One fast engine answers the whole batch, with the bytes and exit
+    code of asking ``entails_fast_basic`` one query at a time."""
+    kb = parse_kb(KB_TEXTS[name])
+    verdicts = [entails_fast_basic(kb, parse_query(t)) for t in texts]
+    for verdict in verdicts:
+        _emit_verdict(verdict, output)
+    expected = capsys.readouterr().out
+    builds = []
+    original = _FastBasic.__init__
+
+    def counted(self, *args):
+        builds.append(args)
+        original(self, *args)
+
+    monkeypatch.setattr(_FastBasic, "__init__", counted)
+    queries = tmp_path / "queries.txt"
+    queries.write_text("\n".join(texts) + "\n", encoding="utf-8")
+    code = main(["query", "-k", kb_file(name), "-e", "fast", "-o", output,
+                 "--queries", str(queries), "--exit-status"])
+    assert capsys.readouterr().out == expected
+    assert code == (0 if all(v.derivable for v in verdicts) else 1)
+    assert len(builds) == 1
+
+
+def test_batch_with_malformed_line_prints_no_verdict(kb_file, tmp_path,
+                                                     capsys):
+    queries = tmp_path / "queries.txt"
+    queries.write_text("O q\nO (q &\nO ~q\n", encoding="utf-8")
+    for engine in ("fast", "fixpoint"):
+        code = main(["query", "-k", kb_file("G1"), "-e", engine,
+                     "--queries", str(queries)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
 
 
 def test_export_files_and_roundtrip(kb_file, tmp_path, capsys):

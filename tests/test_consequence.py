@@ -8,13 +8,14 @@ import pytest
 
 from daf.attacks import Variant
 from daf.consequence import (
+    _FastBasic,
     entails,
     entails_fast_basic,
     extend_with_output,
     output_base,
 )
-from daf.formulas import TOP, parse_formula, render
-from daf.kb import ValidationError, parse_kb
+from daf.formulas import TOP, atoms_of, parse_formula, render
+from daf.kb import KbOptions, ValidationError, parse_kb
 from kbs import kb, query_pool, random_kb
 
 
@@ -152,3 +153,142 @@ def test_empty_kb_nothing_derivable():
     assert not entails_fast_basic(empty, pf("p")).derivable
     # a settled tautology is still not an obligation without norms
     assert not entails_fast_basic(empty, pf("p | ~p")).derivable
+
+
+# ---------------------------------------------------------------------------
+# fast engine against a brute-force reference
+
+
+def _random_kb_text(rng: random.Random) -> str:
+    """Up to eight atoms, clause constraints, and conjunctive or
+    disjunctive facts, antecedents and consequents."""
+    names = "abcdefgh"[: rng.randint(2, 8)]
+
+    def literal():
+        name = rng.choice(names)
+        return name if rng.random() < 0.5 else f"~{name}"
+
+    def operand():
+        roll = rng.random()
+        if roll < 0.5:
+            return literal()
+        return f"({literal()} {'&' if roll < 0.75 else '|'} {literal()})"
+
+    lines = [f"fact {operand()}" for _ in range(rng.randint(0, 2))]
+    for _ in range(rng.randint(0, 3)):
+        clause = " | ".join(literal() for _ in range(rng.randint(1, 3)))
+        lines.append(f"constraint {clause}")
+    for _ in range(rng.randint(1, 7)):
+        antecedent = "true" if rng.random() < 0.3 else operand()
+        lines.append(f"ob {antecedent} => {operand()}")
+    return "\n".join(lines)
+
+
+def _reference(engine: _FastBasic, queries):
+    """Accepted chains and query verdicts, decided row by row and
+    obligation by obligation from the engine's chains and truth table."""
+    table = engine.ctx.table
+    settled = engine.ctx.settled_mask
+    rows = [r for r in range(table.rows) if settled >> r & 1]
+    chains = engine.chains
+
+    def holds(i, r):
+        return all(table.mask(f) >> r & 1 for f in chains[i].uo)
+
+    def maximal_sets(members):
+        sets = []
+        for r in rows:
+            held = [i for i in members if holds(i, r)]
+            if held and held not in sets:
+                sets.append(held)
+        return sets
+
+    def joint(chain_set):
+        mask = settled
+        for i in chain_set:
+            mask &= table.mask(chains[i].conclusion)
+        return mask
+
+    coherent = [i for i in range(len(chains))
+                if any(holds(i, r) for r in rows)]
+    sets = maximal_sets(coherent)
+
+    def refutable(formula):
+        return any(joint(s) & table.mask(formula) == 0 for s in sets)
+
+    accepted = [i for i in coherent
+                if not any(refutable(f) for f in chains[i].uo)]
+    accepted_sets = maximal_sets(accepted)
+    verdicts = [any(table.entails(joint(s), q) for s in accepted_sets)
+                for q in queries]
+    return accepted, verdicts, len(sets)
+
+
+def _check_against_reference(text, facts_settled, queries):
+    source = parse_kb(text, KbOptions(facts_settled=facts_settled))
+    engine = _FastBasic(source, tuple(queries))
+    accepted, verdicts, _ = _reference(engine, queries)
+    assert engine.accepted == accepted, text
+    assert [engine.derivable(q) for q in queries] == verdicts, text
+
+
+def test_fast_engine_matches_brute_force_reference():
+    rng = random.Random(20161606)
+    positives = 0
+    for seed in range(150):
+        text = _random_kb_text(rng)
+        source = parse_kb(text)
+        consequents = [c.consequent for c in source.conditionals]
+        names = sorted({n for p in source.premises for n in atoms_of(p)})
+        pool = consequents + query_pool(names)
+        queries = rng.sample(pool, min(6, len(pool)))
+        _check_against_reference(text, seed % 2 == 0, queries)
+        positives += any(_FastBasic(source, tuple(queries)).derivable(q)
+                         for q in queries)
+    assert positives > 20  # the comparison covers positive verdicts too
+
+
+def test_fast_engine_without_coherent_chains():
+    text = "constraint ~p\nconstraint ~q\nob true => p\nob p => q"
+    _check_against_reference(text, True, [pf("p"), pf("q"), pf("p | q")])
+    engine = _FastBasic(parse_kb(text))
+    assert len(engine.chains) == 2
+    assert engine.accepted == []
+
+
+def test_acceptance_scan_stops_once_every_obligation_is_refuted(
+        monkeypatch):
+    # rows in order: {~p, ~q} refutes p and q, {p, ~q} refutes ~p,
+    # {~p, q} refutes ~q; the fourth maximal set, {p, q}, is not needed
+    text = "ob true => p\nob true => ~p\nob true => q\nob true => ~q"
+    source = parse_kb(text)
+    _check_against_reference(text, True, [pf("p"), pf("~p"), pf("p | q")])
+    consumed = []
+    original = _FastBasic._joint_masks
+
+    def counting(self, members):
+        for joint in original(self, members):
+            consumed.append(joint)
+            yield joint
+
+    monkeypatch.setattr(_FastBasic, "_joint_masks", counting)
+    engine = _FastBasic(source)
+    _, _, total = _reference(engine, [])
+    assert engine.accepted == []
+    assert (len(consumed), total) == (3, 4)
+
+
+def test_one_chain_set_scan_per_build_and_per_query(monkeypatch):
+    calls = []
+    original = _FastBasic._joint_masks
+
+    def counted(self, members):
+        calls.append(len(members))
+        return original(self, members)
+
+    monkeypatch.setattr(_FastBasic, "_joint_masks", counted)
+    engine = _FastBasic(kb("G4"), (pf("r"), pf("~s"), pf("s")))
+    assert len(calls) == 1
+    for n, query in enumerate([pf("r"), pf("~s"), pf("s"), pf("q")], 2):
+        engine.derivable(query)
+        assert len(calls) == n
