@@ -18,7 +18,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterable, Iterator, List, Optional
 
 from .arguments import Argument, ArgumentUniverse, BoundExceeded, \
     GenerationConfig, enumerate_universe
@@ -134,10 +134,11 @@ def _witness_json(a: Optional[Argument]):
 
 
 def run_queries(kb: KnowledgeBase, variant: Variant,
-                queries: Sequence[Formula], cfg: GenerationConfig,
+                queries: Iterable[Formula], cfg: GenerationConfig,
                 engine: str) -> Iterator[Verdict]:
     """Evaluate queries in order with the selected engine; the fast
-    engine decides chain acceptance once for the whole batch."""
+    engine decides chain acceptance once for the queries over the
+    knowledge base's atoms."""
     if engine != "fast":
         return (entails(kb, variant, q, cfg) for q in queries)
     if variant != Variant.BASIC:

@@ -27,13 +27,13 @@ complete edge computation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, \
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, \
     Tuple
 
 from .arguments import Argument, GenerationConfig, enumerate_universe
 from .attacks import AttackGraph, Variant, build_attack_graph
 from .entail import KbEntailment
-from .formulas import Cond, Formula, TOP, cond, ob, render
+from .formulas import Cond, Formula, TOP, atoms_of, cond, ob, render
 from .grounded import AbstractFramework, ExtensionResult, grounded_extension
 from .kb import KnowledgeBase
 
@@ -134,10 +134,7 @@ def _chain_classes(kb: KnowledgeBase,
                    ctx: KbEntailment) -> List[_ChainClass]:
     """All detachment chains (factual root, deontic steps, each
     conditional at most once per chain), deduplicated by class."""
-    conditionals = kb.conditionals
     by_antecedent: Dict[Formula, List[Cond]] = {}
-    for c in conditionals:
-        by_antecedent.setdefault(c.antecedent, []).append(c)
     seen_classes = set()
     seen_states = set()
     classes: List[_ChainClass] = []
@@ -149,7 +146,8 @@ def _chain_classes(kb: KnowledgeBase,
             seen_states.add(state)
             frontier.append((conclusion, uo, used))
 
-    for c in conditionals:
+    for c in kb.conditionals:
+        by_antecedent.setdefault(c.antecedent, []).append(c)
         if ctx.fact_entails(c.antecedent):
             push(c.consequent, frozenset((c.consequent,)), frozenset((c,)))
     index = 0
@@ -169,17 +167,13 @@ def _chain_classes(kb: KnowledgeBase,
 class _FastBasic:
     """Accepted-chain computation plus the chain-set consequence search.
 
-    Joint coherence with the settled base is witnessed row-wise: for
-    each satisfying assignment of the settled base, the
-    inclusion-maximal coherent chain set is the set of chains whose
-    obligations hold on that row, so only those maximal sets need
-    checking.  Building the engine scans the settled rows once: every
-    maximal set of coherent chains refutes the obligations its joint
-    mask excludes, and a coherent chain is accepted when none of its
-    obligations is refuted.  Each ``derivable`` call scans the rows once
-    more, over the accepted chains, and stops at the first maximal set
-    that entails the query.  A scan costs one bit test per settled row
-    and member chain plus one mask conjunction per distinct maximal set.
+    On each row of the settled base the chains whose obligations hold
+    form the maximal coherent chain set; only those sets need checking.
+    Building the engine scans the rows once, refuting the obligations
+    each maximal set of coherent chains excludes; a chain with none
+    refuted is accepted.  Each ``derivable`` call scans the accepted
+    chains once, up to the first set entailing the query.  A scan costs
+    a bit test per row and member, and a full-width conjunction per set.
     """
 
     def __init__(self, kb: KnowledgeBase,
@@ -218,14 +212,9 @@ class _FastBasic:
     def _accept(self) -> List[int]:
         """Coherent chains none of whose obligations some maximal
         coherent chain set refutes, in one scan of those sets."""
-        settled = self.ctx.settled_mask
-        coherent = [
-            i
-            for i, m in enumerate(self.uo_masks)
-            if settled & m != 0
-        ]
-        table = self.ctx.table
-        pending = {f: table.mask(f)
+        coherent = [i for i, m in enumerate(self.uo_masks)
+                    if self.ctx.settled_mask & m]
+        pending = {f: self.ctx.mask(f)
                    for i in coherent for f in self.chains[i].uo}
         refuted = set()
         for joint in self._joint_masks(coherent):
@@ -247,27 +236,34 @@ class _FastBasic:
     def conclusions(self) -> FrozenSet[Formula]:
         return frozenset(self.chains[i].conclusion for i in self.accepted)
 
-
-def fast_basic_verdicts(kb: KnowledgeBase,
-                        queries: Sequence[Formula]) -> Iterator[Verdict]:
-    """Fast-engine verdicts for a batch of queries, in order: chain
-    acceptance is decided once, then each query is one chain-set scan."""
-    engine = _FastBasic(kb, tuple(queries))
-    for query in queries:
-        yield Verdict(
-            derivable=engine.derivable(query),
+    def verdict(self, query: Formula) -> Verdict:
+        return Verdict(
+            derivable=self.derivable(query),
             query=query,
             engine="fast-basic",
             variant=Variant.BASIC,
             categorical=True,
-            universe_stats={"chains": len(engine.chains),
-                            "accepted_chains": len(engine.accepted)},
+            universe_stats={"chains": len(self.chains),
+                            "accepted_chains": len(self.accepted)},
         )
 
 
 def entails_fast_basic(kb: KnowledgeBase, query: Formula) -> Verdict:
     """Fast-engine derivability for the basic variant (categorical)."""
-    return next(fast_basic_verdicts(kb, (query,)))
+    return _FastBasic(kb, (query,)).verdict(query)
+
+
+def fast_basic_verdicts(kb: KnowledgeBase,
+                        queries: Iterable[Formula]) -> Iterator[Verdict]:
+    """Fast-engine verdicts in order.  Queries over the knowledge base's
+    atoms share one engine (one acceptance); a query with more atoms
+    gets its own rather than doubling the shared table per atom."""
+    shared = _FastBasic(kb)
+    own = set(shared.ctx.table.atoms)
+    for query in queries:
+        engine = shared if atoms_of(query) <= own \
+            else _FastBasic(kb, (query,))
+        yield engine.verdict(query)
 
 
 @dataclass(frozen=True)

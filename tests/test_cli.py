@@ -95,27 +95,29 @@ def test_batch_queries(kb_file, tmp_path, capsys):
     assert out.count("DAF") == 3
 
 
-@pytest.mark.parametrize("name,texts", [
-    ("G1", ["O q", "O q | r", "O ~p", "O ~q", "O q | z"]),
-    ("G4", ["O r", "O ~s", "O s", "O ~r", "O q & r", "O w"]),
-    ("G9", ["O q", "O r", "O ~r"]),
+@pytest.mark.parametrize("name,texts,builds", [
+    ("G1", ["O q", "O q | r", "O ~p", "O ~q", "O q | z"], 3),
+    ("G4", ["O r", "O ~s", "O s", "O ~r", "O q & r", "O w"], 2),
+    ("G9", ["O q", "O r", "O ~r"], 1),
 ])
 @pytest.mark.parametrize("output", ["text", "json"])
 def test_fast_batch_matches_per_query_verdicts(kb_file, tmp_path, capsys,
                                                monkeypatch, name, texts,
-                                               output):
-    """One fast engine answers the whole batch, with the bytes and exit
-    code of asking ``entails_fast_basic`` one query at a time."""
+                                               builds, output):
+    """One fast engine answers the batch's queries over the knowledge
+    base's atoms, and one more each query with other atoms (r, z, w),
+    with the bytes and exit code of asking ``entails_fast_basic`` one
+    query at a time."""
     kb = parse_kb(KB_TEXTS[name])
     verdicts = [entails_fast_basic(kb, parse_query(t)) for t in texts]
     for verdict in verdicts:
         _emit_verdict(verdict, output)
     expected = capsys.readouterr().out
-    builds = []
+    built = []
     original = _FastBasic.__init__
 
     def counted(self, *args):
-        builds.append(args)
+        built.append(args)
         original(self, *args)
 
     monkeypatch.setattr(_FastBasic, "__init__", counted)
@@ -125,7 +127,22 @@ def test_fast_batch_matches_per_query_verdicts(kb_file, tmp_path, capsys,
                  "--queries", str(queries), "--exit-status"])
     assert capsys.readouterr().out == expected
     assert code == (0 if all(v.derivable for v in verdicts) else 1)
-    assert len(builds) == 1
+    assert len(built) == builds
+
+
+def test_fast_batch_atoms_beyond_the_table_limit(tmp_path, capsys):
+    """Eleven knowledge-base atoms and ten more, one per query: each
+    query fits the truth table alone, the batch together would not."""
+    kb_path = tmp_path / "wide.kb"
+    kb_path.write_text("".join(f"ob true => a{i}\n" for i in range(11)),
+                       encoding="utf-8")
+    queries = tmp_path / "queries.txt"
+    queries.write_text("".join(f"O a0 | z{j}\n" for j in range(10)),
+                       encoding="utf-8")
+    code = main(["query", "-k", str(kb_path), "-e", "fast", "--queries",
+                 str(queries), "--exit-status"])
+    assert code == 0
+    assert capsys.readouterr().out.count("|-DAF") == 10
 
 
 def test_batch_with_malformed_line_prints_no_verdict(kb_file, tmp_path,
